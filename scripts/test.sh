@@ -1,8 +1,16 @@
 #!/usr/bin/env bash
-# CI test entry point: lint, tier-1 suite, perf smoke, chaos smoke.
+# CI test entry point: lint, tier-1 suite, paper shapes, perf smoke,
+# chaos smoke.
 #
 #   scripts/test.sh            # everything
 #   scripts/test.sh --tier1    # lint + unit/integration/property tests
+#   scripts/test.sh --paper    # paper-shape tier: every figure/table/
+#                              # ablation/extension test in benchmarks/
+#                              # (not benchmarks/perf) at
+#                              # REPRO_BENCH_SCALE=small with timing off
+#                              # (~70 s on 2 cores) — keeps the paper's
+#                              # qualitative claims (who wins, by how much,
+#                              # where crossovers fall) under CI
 #   scripts/test.sh --perf     # perf smoke only: search gate (~2 s; fails
 #                              # if the vectorized backend loses to the
 #                              # scalar one on wall clock) + build gate
@@ -40,12 +48,14 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 run_tier1=1
+run_paper=1
 run_perf=1
 run_chaos=1
 case "${1:-}" in
-  --tier1) run_perf=0; run_chaos=0 ;;
-  --perf) run_tier1=0; run_chaos=0 ;;
-  --chaos) run_tier1=0; run_perf=0 ;;
+  --tier1) run_paper=0; run_perf=0; run_chaos=0 ;;
+  --paper) run_tier1=0; run_perf=0; run_chaos=0 ;;
+  --perf) run_tier1=0; run_paper=0; run_chaos=0 ;;
+  --chaos) run_tier1=0; run_paper=0; run_perf=0 ;;
 esac
 
 # Per-test watchdog: the resilience suite exercises hang/deadlock recovery,
@@ -98,6 +108,11 @@ if [ "$run_tier1" = 1 ]; then
   else
     echo "numba not installed; compiled-backend suite covers fallback only"
   fi
+fi
+if [ "$run_paper" = 1 ]; then
+  REPRO_BENCH_SCALE=small python -m pytest benchmarks -q \
+    --ignore=benchmarks/perf --benchmark-disable \
+    ${PYTEST_TIMEOUT_ARGS[@]+"${PYTEST_TIMEOUT_ARGS[@]}"}
 fi
 if [ "$run_perf" = 1 ]; then
   python -m pytest benchmarks/perf -m perf_smoke -q \

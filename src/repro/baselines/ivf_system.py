@@ -17,7 +17,7 @@ from ..core.static_batcher import StaticBatchConfig, StaticBatchEngine
 from ..data.workload import resolve_workload
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
-from ..gpusim.trace import QueryTrace
+from ..gpusim.trace import TraceTable
 from ..search.ivf import IVFFlatIndex
 
 __all__ = ["IVFSystem"]
@@ -68,15 +68,14 @@ class IVFSystem:
         nq = queries.shape[0]
         ids = np.full((nq, self.k), -1, dtype=np.int64)
         dists = np.full((nq, self.k), np.inf, dtype=np.float32)
-        traces: list[QueryTrace] = []
-        dim = int(queries.shape[1])
+        views = []
         for i in range(nq):
             r = self.index.search(queries[i], self.k, self.nprobe)
             m = min(self.k, len(r.ids))
             ids[i, :m] = r.ids[:m]
             dists[i, :m] = r.dists[:m]
-            traces.append(QueryTrace(ctas=[r.trace], dim=dim, k=self.k))
-        return ids, dists, traces
+            views.append(r.trace)
+        return ids, dists, TraceTable.gather(views)
 
     def make_engine(self, slots: int | None = None, telemetry=None,
                     faults=None, resilience=None) -> StaticBatchEngine:
@@ -122,11 +121,12 @@ class IVFSystem:
             QueryJob(
                 query_id=ev.query_id,
                 arrival_us=ev.arrival_us,
-                cta_durations_us=(self.cost_model.cta_duration_us(tr.ctas[0]),),
-                dim=tr.dim,
+                cta_durations_us=durs,
+                dim=traces.query_dim,
                 k=self.k,
             )
-            for ev, tr in zip(sorted(evs, key=lambda e: e.query_id), traces)
+            for ev, durs in zip(sorted(evs, key=lambda e: e.query_id),
+                                self.cost_model.query_durations_us(traces))
         ]
         engine = self.make_engine(slots=cfg.slots, telemetry=cfg.telemetry,
                                   faults=cfg.faults, resilience=cfg.resilience)
@@ -183,12 +183,11 @@ class IVFPQSystem(IVFSystem):
         nq = queries.shape[0]
         ids = np.full((nq, self.k), -1, dtype=np.int64)
         dists = np.full((nq, self.k), np.inf, dtype=np.float32)
-        traces: list[QueryTrace] = []
-        dim = int(queries.shape[1])
+        views = []
         for i in range(nq):
             r = self.index.search(queries[i], self.k, self.nprobe, rerank=self.rerank)
             m_ = min(self.k, len(r.ids))
             ids[i, :m_] = r.ids[:m_]
             dists[i, :m_] = r.dists[:m_]
-            traces.append(QueryTrace(ctas=[r.trace], dim=dim, k=self.k))
-        return ids, dists, traces
+            views.append(r.trace)
+        return ids, dists, TraceTable.gather(views)

@@ -340,10 +340,10 @@ def ablation_persistent_kernel(
     _, _, traces = cached_search(system, dataset, "cagra")
     pk = PersistentKernel(system.device, system.tuning)
     # One slot's worth of CTAs at a time (the persistent kernel's unit).
-    sample = traces[: system.batch_size]
-    per_block = [
-        system.cost_model.step_durations_us(c) for t in sample for c in t.ctas
-    ]
+    sample = traces.take_queries(np.arange(min(system.batch_size, len(traces))))
+    steps_us = sum(system.cost_model.step_phases(sample)).tolist()
+    bounds = sample.cta_offsets.tolist()
+    per_block = [steps_us[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     persistent = pk.persistent_makespan(per_block)
     rows = [("persistent", "-", persistent, 0.0)]
     data = {"persistent": persistent}

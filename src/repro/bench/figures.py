@@ -111,9 +111,10 @@ def fig07_data(dataset: str = "sift1m-mini", l_total: int = 128):
     _, traces = _greedy_traces(dataset, l_total)
     positions = np.linspace(0.0, 1.0, 11)
     curves = []
-    for t in traces:
-        steps = t.ctas[0].steps[1:]  # skip the seed step
-        d = np.array([s.best_dist for s in steps], dtype=np.float64)
+    first = traces.cta_offsets[traces.query_offsets[:-1]]
+    ends = traces.cta_offsets[traces.query_offsets[:-1] + 1]
+    for lo, hi in zip(first.tolist(), ends.tolist()):
+        d = traces.best_dist[lo + 1 : hi]  # CTA 0, seed step skipped
         if d.size < 4 or not np.isfinite(d).all():
             continue
         final = d[-1] if d[-1] > 0 else d[d > 0].min(initial=1.0)
@@ -149,6 +150,7 @@ def precision_frontier_data(
     from ..data.groundtruth import recall
     from ..gpusim.costmodel import CostModel
     from ..gpusim.device import RTX_A6000
+    from ..gpusim.trace import TraceTable
     from ..search.batched import batched_multi_cta_search
     from ..search.multi_cta import make_entries
     from ..search.precision import make_codec
@@ -178,7 +180,8 @@ def precision_frontier_data(
             )
             ids = np.stack([r.ids for r in res])
             rec = recall(ids, gt)
-            lat = float(np.mean([cm.query_gpu_time_us(r.trace) for r in res]))
+            table = TraceTable.gather([r.trace for r in res])
+            lat = float(np.mean(cm.query_gpu_times_us(table)))
             rows.append((prec, l_total, rec, lat))
             data[prec].append(
                 {"l_total": l_total, "recall": rec, "sim_latency_us": lat}

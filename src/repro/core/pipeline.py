@@ -24,7 +24,7 @@ from ..data.workload import QueryEvent, resolve_workload
 from ..gpusim.costmodel import CostModel, CostParams
 from ..gpusim.device import RTX_A6000, DeviceProperties
 from ..gpusim.occupancy import SearchMemoryLayout
-from ..gpusim.trace import QueryTrace
+from ..gpusim.trace import TraceTable
 from ..graphs.base import GraphIndex
 from ..graphs.utils import medoid
 from ..search.intra_cta import BeamConfig, intra_cta_search
@@ -46,7 +46,7 @@ class SystemReport:
     ids: np.ndarray  # (n_queries, k) result ids, -1 padded
     dists: np.ndarray  # (n_queries, k) result distances
     serve: ServeReport
-    traces: list[QueryTrace] = field(repr=False, default_factory=list)
+    traces: TraceTable | list = field(repr=False, default_factory=list)
 
     @property
     def mean_latency_us(self) -> float:
@@ -192,7 +192,8 @@ class BaseGraphSystem:
     def search_all(self, queries: np.ndarray, backend: str | None = None,
                    seed: int | None = None, precision: str | None = None,
                    rerank_mult: int | None = None):
-        """Search every query; returns padded ids/dists and traces.
+        """Search every query; returns padded ids/dists and the traces
+        (a :class:`~repro.gpusim.trace.TraceTable`, query ``i`` = row ``i``).
 
         With the vectorized backend the whole query set advances in one
         lockstep SoA batch (all queries × all CTAs); entry points are drawn
@@ -220,16 +221,13 @@ class BaseGraphSystem:
             )
         ids = np.full((nq, self.k), -1, dtype=np.int64)
         dists = np.full((nq, self.k), np.inf, dtype=np.float32)
-        traces: list[QueryTrace] = []
+        views = []
         for i, r in enumerate(results):
             m = min(self.k, len(r.ids))
             ids[i, :m] = r.ids[:m]
             dists[i, :m] = r.dists[:m]
-            tr = r.trace
-            if not isinstance(tr, QueryTrace):  # single-CTA returns CTATrace
-                tr = QueryTrace(ctas=[tr], dim=int(self.base.shape[1]), k=self.k)
-            traces.append(tr)
-        return ids, dists, traces
+            views.append(r.trace)
+        return ids, dists, TraceTable.gather(views)
 
     def _search_all_vectorized(self, queries: np.ndarray, rng: np.random.Generator,
                                precision: str | None = None,
@@ -263,24 +261,21 @@ class BaseGraphSystem:
 
     # -------------------------------------------------------------- pricing
     def jobs_from_traces(
-        self, traces: list[QueryTrace], events: list[QueryEvent]
+        self, traces: TraceTable, events: list[QueryEvent]
     ) -> list[QueryJob]:
-        """Price traces into engine jobs, one per query event."""
+        """Price traces (one table pass) into engine jobs, one per event."""
         if len(traces) != len(events):
             raise ValueError("one trace per event required")
-        jobs = []
-        for ev, tr in zip(events, traces):
-            durs = tuple(self.cost_model.cta_duration_us(c) for c in tr.ctas)
-            jobs.append(
-                QueryJob(
-                    query_id=ev.query_id,
-                    arrival_us=ev.arrival_us,
-                    cta_durations_us=durs,
-                    dim=tr.dim,
-                    k=self.k,
-                )
+        return [
+            QueryJob(
+                query_id=ev.query_id,
+                arrival_us=ev.arrival_us,
+                cta_durations_us=durs,
+                dim=traces.query_dim,
+                k=self.k,
             )
-        return jobs
+            for ev, durs in zip(events, self.cost_model.query_durations_us(traces))
+        ]
 
     def mem_per_block(self) -> int:
         return self.tuning.block_shared_mem_bytes

@@ -1,7 +1,14 @@
 """Simulated-GPU substrate: device model, cost model, event engine, PCIe."""
 
 from .calibrate import CalibrationResult, calibrate_cost_params, op_count_features
-from .costmodel import CostModel, CostParams, CTACost, StepCost, bitonic_stage_count
+from .costmodel import (
+    CostModel,
+    CostParams,
+    CTACost,
+    StepCost,
+    TableCost,
+    bitonic_stage_count,
+)
 from .device import A100_SXM, DEVICE_PRESETS, RTX_3080, RTX_A6000, DeviceProperties
 from .engine import BlockSchedule, Simulator, list_schedule
 from .kernel import KernelLaunch, launch_blocks, partitioned_launch_makespan
@@ -13,7 +20,7 @@ from .occupancy import (
     max_resident_blocks,
 )
 from .pcie import PCIeLink, PCIeStats
-from .trace import CTATrace, QueryTrace, StepRecord
+from .trace import CTATrace, QueryTrace, StepRecord, TraceBuilder, TraceTable
 
 __all__ = [
     "CalibrationResult",
@@ -23,6 +30,7 @@ __all__ = [
     "CostParams",
     "CTACost",
     "StepCost",
+    "TableCost",
     "bitonic_stage_count",
     "A100_SXM",
     "DEVICE_PRESETS",
@@ -47,4 +55,6 @@ __all__ = [
     "CTATrace",
     "QueryTrace",
     "StepRecord",
+    "TraceBuilder",
+    "TraceTable",
 ]

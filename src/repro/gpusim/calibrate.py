@@ -1,8 +1,10 @@
 """Cost-model calibration against measured timings.
 
 Users with access to a real GPU can calibrate the simulator: run a few
-search configurations on hardware, record (trace, measured-microseconds)
-pairs, and fit the per-op cycle constants so the priced traces match.
+search configurations on hardware, record (CTA trace, measured-microseconds)
+pairs — the traces as the CTAs of one
+:class:`~repro.gpusim.trace.TraceTable` — and fit the per-op cycle
+constants so the priced traces match.
 
 The model is linear in the five dominant cycle constants
 
@@ -15,13 +17,14 @@ this small well-conditioned system).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .costmodel import CostModel, CostParams
+from .costmodel import CostModel, CostParams, bitonic_groups
 from .device import DeviceProperties
-from .trace import CTATrace
+from .trace import TraceTable
 
 __all__ = ["CalibrationResult", "op_count_features", "calibrate_cost_params"]
 
@@ -35,35 +38,27 @@ _FIELDS = (
 )
 
 
-def op_count_features(trace: CTATrace, threads: int = 32) -> np.ndarray:
-    """Per-op *counts* (warp-wide groups) for one CTA trace.
+def op_count_features(traces: TraceTable, threads: int = 32) -> np.ndarray:
+    """Per-op *counts* (warp-wide groups), one row per CTA of ``traces``.
 
     Columns follow ``_FIELDS``; multiplying by the matching cycle constants
     and the cycle time reproduces the deterministic part of
-    :meth:`CostModel.cta_cost` (memory terms are excluded — they are device
+    :meth:`CostModel.price` (memory terms are excluded — they are device
     properties, not fitted constants).
     """
-    import math
-
-    from .costmodel import bitonic_merge_stage_count, bitonic_stage_count
-
-    fma = shfl = cmpex = scan = bitmap = 0.0
-    for s in trace.steps:
-        if s.n_new_points:
-            fma += -(-s.n_new_points * s.dim // threads)
-            shfl += s.n_new_points * max(1, int(math.log2(threads)))
-        if s.did_sort:
-            expand_n = max(s.sort_size - s.cand_list_len, 0)
-            if expand_n > 1:
-                n = 1 << max(1, math.ceil(math.log2(expand_n)))
-                cmpex += bitonic_stage_count(expand_n) * -(-(n // 2) // threads)
-            if s.sort_size > 1:
-                n = 1 << max(1, math.ceil(math.log2(s.sort_size)))
-                cmpex += bitonic_merge_stage_count(s.sort_size) * -(-(n // 2) // threads)
-        scan += -(-max(s.cand_list_len, 1) // threads) * s.n_expanded
-        if s.n_visited_checks:
-            bitmap += -(-s.n_visited_checks // threads)
-    return np.array([fma, shfl, cmpex, scan, bitmap], dtype=np.float64)
+    t = traces
+    n_new = t.n_new_points
+    fma = -(-(n_new * t.dim) // threads)
+    shfl = n_new * max(1, int(math.log2(threads)))
+    sort_groups, merge_groups = bitonic_groups(t.sort_size, t.cand_list_len, threads)
+    cmpex = np.where(t.did_sort, sort_groups + merge_groups, 0)
+    scan = -(-np.maximum(t.cand_list_len, 1) // threads) * t.n_expanded
+    bitmap = -(-t.n_visited_checks // threads)
+    ops = np.stack([fma, shfl, cmpex, scan, bitmap], axis=1)
+    c = np.zeros((ops.shape[0] + 1, ops.shape[1]), dtype=np.int64)
+    np.cumsum(ops, axis=0, out=c[1:])
+    o = t.cta_offsets
+    return (c[o[1:]] - c[o[:-1]]).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -77,25 +72,25 @@ class CalibrationResult:
 
 def calibrate_cost_params(
     device: DeviceProperties,
-    traces: list[CTATrace],
+    traces: TraceTable,
     measured_us: list[float],
     base_params: CostParams | None = None,
     threads: int | None = None,
 ) -> CalibrationResult:
     """Fit per-op cycle constants to measured CTA timings.
 
-    ``measured_us[i]`` is the observed execution time of ``traces[i]`` on
-    real hardware.  Memory-latency/bandwidth terms (device properties) are
+    ``measured_us[i]`` is the observed execution time of CTA ``i`` of
+    ``traces`` on real hardware.  Memory-latency/bandwidth terms (device properties) are
     subtracted before fitting; fitted constants are clipped non-negative
     with one refit pass over the surviving columns.
     """
-    if len(traces) != len(measured_us):
+    if traces.n_ctas != len(measured_us):
         raise ValueError("one measurement per trace required")
-    if len(traces) < len(_FIELDS):
+    if traces.n_ctas < len(_FIELDS):
         raise ValueError(f"need at least {len(_FIELDS)} measurements")
     base = base_params or CostParams()
     thr = threads or device.warp_size
-    X = np.stack([op_count_features(t, thr) for t in traces])
+    X = op_count_features(traces, thr)
     # fixed (non-fitted) component: memory + per-step overheads
     zeroed = replace(
         base,
@@ -103,7 +98,7 @@ def calibrate_cost_params(
         scan_cycles=0.0, bitmap_cycles=0.0,
     )
     fixed_model = CostModel(device, zeroed, threads_per_cta=thr)
-    fixed = np.array([fixed_model.cta_duration_us(t) for t in traces])
+    fixed = fixed_model.price(traces).total_us
     y = np.asarray(measured_us, dtype=np.float64) - fixed
     cycle_us = 1.0 / (device.clock_ghz * 1e3)
     A = X * cycle_us

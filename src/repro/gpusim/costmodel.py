@@ -1,7 +1,7 @@
 """Analytic cost model: op traces → time.
 
-Prices a :class:`~repro.gpusim.trace.StepRecord` as the sum of five
-components (matching the kernel phases in §IV-B of the paper):
+Prices every step of a :class:`~repro.gpusim.trace.TraceTable` as the sum
+of five components (matching the kernel phases in §IV-B of the paper):
 
 ``select``   scan the candidate list for the next unvisited candidate(s)
 ``fetch``    read adjacency lists from global memory
@@ -17,6 +17,11 @@ operating points, sorting accounts for roughly 20–34 % of search time on the
 low/medium-dimension datasets and proportionally less at 960 d — the ratios
 Fig. 3 reports.  Absolute times are not calibrated to the A6000 (out of
 scope per DESIGN.md); only the *composition* and *scaling* of the time are.
+
+A whole table is priced in one numpy pass: each phase is computed for all
+rows at once, then summed per CTA in step order (``np.bincount`` adds a
+CTA's rows one after another from 0.0), so every per-CTA float is the
+same sequence of float64 operations as a step-by-step loop would make.
 """
 
 from __future__ import annotations
@@ -24,13 +29,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .device import DeviceProperties
-from .trace import CTATrace, QueryTrace, StepRecord
+from .trace import PRECISIONS, CTATrace, QueryTrace, StepRecord, TraceTable
 
-__all__ = ["CostParams", "StepCost", "CTACost", "CostModel", "bitonic_stage_count"]
+__all__ = [
+    "CostParams",
+    "StepCost",
+    "CTACost",
+    "TableCost",
+    "CostModel",
+    "bitonic_stage_count",
+    "bitonic_groups",
+]
+
+_INT8 = PRECISIONS.index("int8")
+_PQ = PRECISIONS.index("pq")
 
 
-def _ceil_div(a: int, b: int) -> int:
+def _ceil_div(a, b):
     return -(-a // b)
 
 
@@ -46,11 +64,35 @@ def bitonic_stage_count(n: int) -> int:
     return k * (k + 1) // 2
 
 
-def bitonic_merge_stage_count(n: int) -> int:
-    """Stages of a bitonic *merge* of two sorted runs totalling ``n`` items."""
-    if n <= 1:
-        return 0
-    return max(1, math.ceil(math.log2(n)))
+#: full bitonic-sort stage count by padded exponent k (``2^k`` items)
+_SORT_STAGES = np.array([k * (k + 1) // 2 for k in range(64)], dtype=np.int64)
+
+
+def _pad_exponent(n: np.ndarray) -> np.ndarray:
+    """``max(1, ceil(log2(n)))`` for integer ``n >= 2``, in integer math:
+    the bit length of ``n - 1`` (frexp's exponent is exact below 2^53)."""
+    e = np.frexp(np.maximum(n - 1, 1).astype(np.float64))[1]
+    return np.maximum(e.astype(np.int64), 1)
+
+
+def bitonic_groups(
+    sort_size: np.ndarray, cand_list_len: np.ndarray, threads: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Warp-wide compare-exchange groups of each step's maintenance:
+    ``(sort, merge)`` — the bitonic sort of the expand list and the bitonic
+    merge into the candidate list, each padded to a power of two (0 where
+    the network is trivial)."""
+    expand_n = np.maximum(sort_size - cand_list_len, 0)
+    ke, km = _pad_exponent(expand_n), _pad_exponent(sort_size)
+    sort = np.where(
+        expand_n > 1,
+        _SORT_STAGES[ke] * _ceil_div(np.left_shift(1, ke - 1), threads),
+        0,
+    )
+    merge = np.where(
+        sort_size > 1, km * _ceil_div(np.left_shift(1, km - 1), threads), 0
+    )
+    return sort, merge
 
 
 @dataclass(frozen=True)
@@ -144,6 +186,66 @@ class CTACost:
         return self.sort_us / t if t > 0 else 0.0
 
 
+@dataclass(frozen=True)
+class TableCost:
+    """Per-CTA (or, after :meth:`per_query`, per-query) cost arrays of a
+    :class:`~repro.gpusim.trace.TraceTable`, microseconds."""
+
+    select_us: np.ndarray
+    fetch_us: np.ndarray
+    filter_us: np.ndarray
+    distance_us: np.ndarray
+    sort_us: np.ndarray
+    result_write_us: np.ndarray
+    n_steps: np.ndarray
+
+    @property
+    def compute_us(self) -> np.ndarray:
+        """Everything except sorting (the paper's "calculation" bucket)."""
+        return (
+            self.select_us
+            + self.fetch_us
+            + self.filter_us
+            + self.distance_us
+            + self.result_write_us
+        )
+
+    @property
+    def total_us(self) -> np.ndarray:
+        return self.compute_us + self.sort_us
+
+    @property
+    def sort_fraction(self) -> np.ndarray:
+        """Share of time spent sorting (Fig. 3 / Fig. 17 quantity)."""
+        t = self.total_us
+        return np.divide(self.sort_us, t, out=np.zeros_like(t), where=t > 0)
+
+    def __getitem__(self, i: int) -> CTACost:
+        return CTACost(
+            float(self.select_us[i]),
+            float(self.fetch_us[i]),
+            float(self.filter_us[i]),
+            float(self.distance_us[i]),
+            float(self.sort_us[i]),
+            float(self.result_write_us[i]),
+            int(self.n_steps[i]),
+        )
+
+    def per_query(self, table: TraceTable) -> TableCost:
+        """Sum each query's CTAs of ``table`` (in CTA order, from 0.0)."""
+        q = np.repeat(np.arange(table.n_queries), table.ctas_per_query())
+        n = table.n_queries
+
+        def seg(x):
+            return np.bincount(q, weights=x, minlength=n)
+
+        return TableCost(
+            seg(self.select_us), seg(self.fetch_us), seg(self.filter_us),
+            seg(self.distance_us), seg(self.sort_us), seg(self.result_write_us),
+            seg(self.n_steps).astype(np.int64),
+        )
+
+
 class CostModel:
     """Prices traces on a given device with given per-op constants."""
 
@@ -162,91 +264,110 @@ class CostModel:
         self._us = device.cycles_to_us
 
     # ------------------------------------------------------------------ GPU
-    def step_cost(self, step: StepRecord) -> StepCost:
-        """Price a single search step."""
-        p, t = self.params, self.threads
-        select = self._us(
-            _ceil_div(max(step.cand_list_len, 1), t) * p.scan_cycles * step.n_expanded
-        )
+    def step_phases(self, table: TraceTable) -> tuple[np.ndarray, ...]:
+        """Per-step ``(select, fetch, filter, distance, sort)`` costs (µs)
+        of every row of ``table``."""
+        p, t, dev = self.params, self.threads, self.device
+        clk = dev.clock_ghz * 1e3  # cycles per µs
+        bw = dev.global_mem_bw_gbps * 1e3  # bytes per µs
+        n_exp = table.n_expanded
+        cll = table.cand_list_len
+        select = (
+            _ceil_div(np.maximum(cll, 1), t) * p.scan_cycles * n_exp
+        ) / clk + p.step_fixed_cycles / clk
         # Adjacency fetch: one global-memory round trip per expanded
         # candidate plus streaming the neighbour ids.
-        fetch_bytes = step.n_neighbors_fetched * 4
         fetch = (
-            step.n_expanded * self._us(self.device.global_mem_latency_cycles)
-            + fetch_bytes / (self.device.global_mem_bw_gbps * 1e3)
+            n_exp * (dev.global_mem_latency_cycles / clk)
+            + (table.n_neighbors_fetched * 4) / bw
         )
-        filter_ = self._us(
-            _ceil_div(max(step.n_visited_checks, 1), t) * p.bitmap_cycles
-        ) if step.n_visited_checks else 0.0
-        distance = 0.0
-        if step.n_new_points:
-            precision = getattr(step, "precision", "float32")
-            reduce_steps = step.n_new_points * max(1, int(math.log2(t)))
-            if precision == "int8":
-                # DP4A packs int8_mac_pack MACs per lane-cycle and streams
-                # 1 byte/dimension instead of 4.
-                pack = max(int(p.int8_mac_pack), 1)
-                iters = _ceil_div(step.n_new_points * step.dim, t * pack)
-                lane_cycles = iters * p.fma_iter_cycles
-                vec_bytes = step.n_new_points * step.dim * 1
-            elif precision == "pq":
-                # ADC: step.dim holds m — one shared-memory table lookup
-                # per subspace per point, 1 byte/code streamed.
-                iters = _ceil_div(step.n_new_points * step.dim, t)
-                lane_cycles = iters * p.lut_lookup_cycles
-                vec_bytes = step.n_new_points * step.dim * 1
-            else:
-                iters = _ceil_div(step.n_new_points * step.dim, t)
-                lane_cycles = iters * p.fma_iter_cycles
-                vec_bytes = step.n_new_points * step.dim * 4
-            distance = self._us(
-                lane_cycles + reduce_steps * p.shuffle_cycles
-            ) + vec_bytes / (self.device.global_mem_bw_gbps * 1e3)
-        sort = self.sort_cost_us(step) if step.did_sort else 0.0
-        total_fixed = self._us(p.step_fixed_cycles)
-        return StepCost(select + total_fixed, fetch, filter_, distance, sort)
+        checks = table.n_visited_checks
+        filter_ = np.where(
+            checks > 0,
+            (_ceil_div(np.maximum(checks, 1), t) * p.bitmap_cycles) / clk,
+            0.0,
+        )
+        # Distance: float32 streams 4 bytes/dimension through per-dimension
+        # FMAs; int8 (DP4A) packs int8_mac_pack MACs per lane-cycle over 1
+        # byte/dimension; pq holds dim = m and pays one shared-memory table
+        # lookup per subspace per point over 1 byte/code.
+        n_new = table.n_new_points
+        work = n_new * table.dim
+        int8 = table.precision == _INT8
+        pq = table.precision == _PQ
+        pack = max(int(p.int8_mac_pack), 1)
+        iters = _ceil_div(work, np.where(int8, t * pack, t))
+        lane_cycles = iters * np.where(pq, p.lut_lookup_cycles, p.fma_iter_cycles)
+        vec_bytes = work * np.where(int8 | pq, 1, 4)
+        reduce_steps = n_new * max(1, int(math.log2(t)))
+        distance = np.where(
+            n_new > 0,
+            (lane_cycles + reduce_steps * p.shuffle_cycles) / clk + vec_bytes / bw,
+            0.0,
+        )
+        # Sort: bitonic sort of the expand list + bitonic merge into the
+        # candidate list.
+        sort_groups, merge_groups = bitonic_groups(table.sort_size, cll, t)
+        sort_cycles = sort_groups * p.cmpex_cycles + merge_groups * p.cmpex_cycles
+        sort = np.where(table.did_sort, sort_cycles / clk, 0.0)
+        return select, fetch, filter_, distance, sort
 
-    def sort_cost_us(self, step: StepRecord) -> float:
-        """Bitonic sort of the expand list + merge into the candidate list."""
-        p, t = self.params, self.threads
-        expand_n = max(step.sort_size - step.cand_list_len, 0)
-        cycles = 0.0
-        if expand_n > 1:
-            n = 1 << max(1, math.ceil(math.log2(expand_n)))
-            cycles += bitonic_stage_count(expand_n) * _ceil_div(n // 2, t) * p.cmpex_cycles
-        if step.sort_size > 1:
-            n = 1 << max(1, math.ceil(math.log2(step.sort_size)))
-            cycles += (
-                bitonic_merge_stage_count(step.sort_size)
-                * _ceil_div(n // 2, t)
-                * p.cmpex_cycles
-            )
-        return self._us(cycles)
+    def price(self, table: TraceTable) -> TableCost:
+        """Per-CTA cost breakdown of a whole table in one pass."""
+        cta = table.cta_of_row()
+        n = table.n_ctas
+
+        def seg(x):
+            return np.bincount(cta, weights=x, minlength=n)
+
+        sel, fet, fil, dis, srt = (seg(x) for x in self.step_phases(table))
+        rl = table.result_len
+        write = np.where(
+            rl > 0,
+            self._us(self.device.global_mem_latency_cycles)
+            + (rl * 8) / (self.device.global_mem_bw_gbps * 1e3),
+            0.0,
+        )
+        return TableCost(sel, fet, fil, dis, srt, write, table.steps_per_cta())
+
+    def query_durations_us(self, table: TraceTable) -> list[tuple[float, ...]]:
+        """Per query, the busy time of each of its CTAs (engine job input)."""
+        tot = self.price(table).total_us.tolist()
+        qo = table.query_offsets.tolist()
+        return [tuple(tot[a:b]) for a, b in zip(qo[:-1], qo[1:])]
+
+    def query_gpu_times_us(self, table: TraceTable) -> np.ndarray:
+        """GPU time of every query = its slowest CTA (CTAs run concurrently
+        on distinct blocks); 0 for a query without CTAs."""
+        tot = self.price(table).total_us
+        out = np.zeros(table.n_queries)
+        has = table.ctas_per_query() > 0
+        if has.any():
+            out[has] = np.maximum.reduceat(tot, table.query_offsets[:-1][has])
+        return out
+
+    # ------------------------------------------------- single-trace views
+    def step_cost(self, step: StepRecord) -> StepCost:
+        """Price a single search step (a one-row table)."""
+        phases = self.step_phases(TraceTable.from_steps([[step]]))
+        return StepCost(*(float(x[0]) for x in phases))
+
+    def step_durations_us(self, trace: CTATrace) -> list[float]:
+        """Per-step durations of one CTA (partitioned-kernel ablation)."""
+        sel, fet, fil, dis, srt = self.step_phases(trace.table.take_cta(trace.index))
+        return (sel + fet + fil + dis + srt).tolist()
 
     def cta_cost(self, trace: CTATrace) -> CTACost:
         """Aggregate cost of everything a CTA did for one query."""
-        sel = fet = fil = dis = srt = 0.0
-        for s in trace.steps:
-            c = self.step_cost(s)
-            sel += c.select_us
-            fet += c.fetch_us
-            fil += c.filter_us
-            dis += c.distance_us
-            srt += c.sort_us
-        write = 0.0
-        if trace.result_len:
-            write = self._us(self.device.global_mem_latency_cycles) + (
-                trace.result_len * 8 / (self.device.global_mem_bw_gbps * 1e3)
-            )
-        return CTACost(sel, fet, fil, dis, srt, write, trace.n_steps)
+        return self.price(trace.table.take_cta(trace.index))[0]
 
     def cta_duration_us(self, trace: CTATrace) -> float:
         """Wall-clock a CTA is busy serving its share of one query."""
         return self.cta_cost(trace).total_us
 
-    def step_durations_us(self, trace: CTATrace) -> list[float]:
-        """Per-step durations (used by the partitioned-kernel ablation)."""
-        return [self.step_cost(s).total_us for s in trace.steps]
+    def query_gpu_time_us(self, qt: QueryTrace) -> float:
+        """GPU time for one query = the slowest of its CTAs."""
+        return float(self.query_gpu_times_us(qt.table.take_queries([qt.index]))[0])
 
     # ------------------------------------------------------------------ CPU
     def cpu_merge_us(self, n_lists: int, k: int) -> float:
@@ -304,22 +425,3 @@ class CostModel:
             cycles += _ceil_div(pairs * k, t) * p.gpu_merge_elem_cycles
             active = pairs
         return self.device.kernel_launch_us + self._us(cycles)
-
-    # ------------------------------------------------------------- queries
-    def query_gpu_time_us(self, qt: QueryTrace) -> float:
-        """GPU time for one query = the slowest of its CTAs (they run
-        concurrently on distinct blocks)."""
-        return max((self.cta_duration_us(c) for c in qt.ctas), default=0.0)
-
-    def query_cost_summary(self, qt: QueryTrace) -> CTACost:
-        """Summed breakdown over all CTAs of a query (for Fig. 3/17)."""
-        costs = [self.cta_cost(c) for c in qt.ctas]
-        return CTACost(
-            sum(c.select_us for c in costs),
-            sum(c.fetch_us for c in costs),
-            sum(c.filter_us for c in costs),
-            sum(c.distance_us for c in costs),
-            sum(c.sort_us for c in costs),
-            sum(c.result_write_us for c in costs),
-            sum(c.n_steps for c in costs),
-        )

@@ -179,16 +179,17 @@ class DynamicGraph:
         """Lockstep batch search over the *live* structure (no freeze).
 
         Returns ``(ids, dists, traces)``: ``(B, k)`` arrays padded with
-        -1 / inf past each row's result count, and per-query
-        :class:`~repro.gpusim.trace.CTATrace` objects (``None`` entries
-        when ``record_trace`` is off) for cost-model pricing.
+        -1 / inf past each row's result count, and the per-query traces
+        for cost-model pricing — a one-CTA-per-query
+        :class:`~repro.gpusim.trace.TraceTable`, or ``None`` entries when
+        ``record_trace`` is off.
         """
         from ..search.batched import _engine_cls
         from ..search.compiled import resolve_backend
         from ..search.precision import (
             DEFAULT_RERANK_MULT,
+            append_rerank_steps,
             exact_rerank,
-            rerank_step_record,
         )
 
         queries = np.asarray(queries, dtype=np.float32)
@@ -228,6 +229,7 @@ class DynamicGraph:
             alive_mask=self._alive[:n],
         )
         eng.run(100 * cand_capacity + 100, what="dynamic batch search")
+        scored, best = [], []
         for r in range(B):
             if codec is None:
                 ids, dists = eng.results_row(r, k)
@@ -238,19 +240,15 @@ class DynamicGraph:
                 ids, dists = exact_rerank(
                     eng.points, queries[r], self.metric, approx_ids, k, qnorm=qnorm
                 )
-                trace = eng.trace_row(r)
-                if trace is not None:
-                    trace.steps.append(
-                        rerank_step_record(
-                            int(approx_ids.size), int(self._pts.shape[1]),
-                            float(dists[0]) if dists.size else float("nan"),
-                        )
-                    )
-                    trace.result_len = int(ids.size)
+                scored.append(approx_ids.size)
+                best.append(dists[0] if dists.size else np.nan)
+                if eng.trace is not None:
+                    eng.trace.result_len[r] = ids.size
             out_ids[r, : ids.size] = ids
             out_d[r, : dists.size] = dists
-            traces[r] = eng.trace_row(r)
-        return out_ids, out_d, traces
+        if codec is not None and eng.trace is not None:
+            append_rerank_steps(eng.trace, np.arange(B), scored, eng.dim, best)
+        return out_ids, out_d, eng.trace_table(k) if record_trace else traces
 
     def _search_scalar(
         self, query: np.ndarray, k: int, l: int | None

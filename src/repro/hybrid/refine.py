@@ -95,7 +95,7 @@ def bounded_refine(
     pool_ids, _, sizes = eng.pools()
     ids = np.full((nq, k), -1, dtype=np.int64)
     dists = np.full((nq, k), np.inf, dtype=np.float32)
-    n_dist = np.zeros(nq, dtype=np.int64)
+    n_dist = eng.trace_table().cta_sums("n_new_points") + sizes
     for i in range(nq):
         m = int(sizes[i])
         pool = pool_ids[i, :m]
@@ -103,6 +103,4 @@ def bounded_refine(
         rid, rd = exact_rerank(points, queries[i], metric, pool, k, qnorm=qnorm)
         ids[i, : rid.size] = rid
         dists[i, : rid.size] = rd
-        tr = eng.trace_row(i)
-        n_dist[i] = (tr.n_distances if tr is not None else 0) + m
     return RefineResult(ids=ids, dists=dists, n_distances=n_dist, n_steps=steps)

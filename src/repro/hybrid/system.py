@@ -186,20 +186,18 @@ class HybridSystem(ALGASSystem):
             for nd in refine.n_distances
         ]
         ordered = sorted(evs, key=lambda e: e.query_id)
-        jobs = []
-        for ev, tr in zip(ordered, traces):
-            durs = tuple(self.cost_model.cta_duration_us(c) for c in tr.ctas)
-            jobs.append(
-                QueryJob(
-                    query_id=ev.query_id,
-                    arrival_us=ev.arrival_us,
-                    cta_durations_us=durs,
-                    dim=tr.dim,
-                    k=self.k,
-                    host_us=host_us[ev.query_id],
-                    result_entries=self.n_candidates,
-                )
+        jobs = [
+            QueryJob(
+                query_id=ev.query_id,
+                arrival_us=ev.arrival_us,
+                cta_durations_us=durs,
+                dim=traces.query_dim,
+                k=self.k,
+                host_us=host_us[ev.query_id],
+                result_entries=self.n_candidates,
             )
+            for ev, durs in zip(ordered, self.cost_model.query_durations_us(traces))
+        ]
         engine = self._make_hybrid_engine(cfg)
         report = self._run_engine(engine, jobs, spec)
         plan = self.pilot.plan

@@ -25,7 +25,12 @@ matches the scalar searcher, and the shared ``pair_distances`` kernel makes
 every distance bit identical.  Multi-CTA queries share a visited row; the
 row order within a query reproduces the scalar round-robin schedule, so
 cross-CTA work partitioning — and therefore results *and* per-step
-:class:`~repro.gpusim.trace.StepRecord` traces — are identical too.
+traces — are identical too.
+
+Traces are columnar: every wave appends one slice (a step for each active
+row) to a :class:`~repro.gpusim.trace.TraceBuilder`, and the search
+drivers freeze it into one :class:`~repro.gpusim.trace.TraceTable` per
+batch; each result's ``trace`` is a read view into that table.
 """
 
 from __future__ import annotations
@@ -33,11 +38,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.metrics import pair_distances
-from ..gpusim.trace import CTATrace, QueryTrace, StepRecord
+from ..gpusim.trace import TraceBuilder, TraceTable
 from ..graphs.base import GraphIndex
 from .intra_cta import BeamConfig, SearchResult
 from .multi_cta import make_entries, per_cta_capacity
-from .precision import DEFAULT_RERANK_MULT, exact_rerank, rerank_step_record
+from .precision import DEFAULT_RERANK_MULT, append_rerank_steps, exact_rerank
 from .topk import heap_merge
 
 __all__ = [
@@ -198,9 +203,13 @@ class LockstepEngine:
         self.sizes = np.zeros(R, dtype=np.int64)
         self.active = np.zeros(R, dtype=bool)
         self.visited = self._make_visited(queries.shape[0], self.points.shape[0])
-        self.traces: list[CTATrace] | None = (
-            [CTATrace() for _ in range(R)] if record_trace else None
-        )
+        # Columnar trace: rows are CTAs, grouped into queries by row_query.
+        self.trace: TraceBuilder | None = None
+        if record_trace:
+            per_query = np.bincount(self.row_query, minlength=queries.shape[0])
+            offsets = np.zeros(per_query.size + 1, dtype=np.int64)
+            np.cumsum(per_query, out=offsets[1:])
+            self.trace = TraceBuilder(R, offsets)
         # Optional expansion log: per step, the (row, id, dist) triples of
         # the vertices expanded that cycle.  NSG construction consumes this
         # — its per-vertex candidate pool is the *search path* (everything
@@ -245,31 +254,23 @@ class LockstepEngine:
         fresh = self.visited.test_and_set(self.row_query[rows], ids)
         new_counts = self._score_and_merge(rows[fresh], ids[fresh])
         self.active[:] = self.sizes > 0
-        if self.traces is not None:
-            sizes = self.sizes
-            best = self.cand_d[:, 0]
-            for r in range(R):
-                n_new = int(new_counts[r])
-                self.traces[r].steps.append(
-                    StepRecord(
-                        select_offset=0,
-                        n_expanded=0,
-                        n_neighbors_fetched=0,
-                        n_visited_checks=int(counts[r]),
-                        n_new_points=n_new,
-                        dim=self._trace_dim,
-                        sort_size=n_new,
-                        cand_list_len=0,
-                        did_sort=n_new > 1,
-                        best_dist=float(best[r]) if sizes[r] else float("nan"),
-                        precision=self._precision,
-                    )
-                )
+        if self.trace is not None:
+            self.trace.append(
+                np.arange(R),
+                n_visited_checks=counts,
+                n_new_points=new_counts,
+                dim=self._trace_dim,
+                sort_size=new_counts,
+                did_sort=new_counts > 1,
+                best_dist=np.where(self.sizes > 0, self.cand_d[:, 0], np.nan),
+                precision=self._precision,
+            )
 
     # ------------------------------------------------------------- merging
     def _score_and_merge(self, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """Score fresh (row, id) pairs with one batched distance kernel and
-        fold them into their rows' candidate lists; returns per-row counts.
+        fold them into their rows' candidate lists; returns per-row counts
+        of the fresh pairs scored (the trace's ``n_new_points``).
 
         ``rows`` must be sorted ascending with per-row insertion order
         preserved — that order is the stable-merge tie order.
@@ -288,22 +289,21 @@ class LockstepEngine:
                 a_norms=None if self._qnorm is None else self._qnorm[qrows],
                 b_norms=None if self._pnorm is None else self._pnorm[ids],
             )
-        if self.traces is None:
-            # Bound filter: a pair at or beyond its row's current worst slot
-            # can never survive the stable merge truncation (old entries win
-            # ties), so dropping it up front is bit-identical while shrinking
-            # the merge width — pools not yet full have an inf sentinel there,
-            # which keeps every pair.  Trace mode skips this so the recorded
-            # sort sizes match the scalar cost model.
-            keep = dists < self.cand_d[rows, self.L - 1]
-            if not keep.all():
-                rows = rows[keep]
-                ids = ids[keep]
-                dists = dists[keep]
-                counts = np.bincount(rows, minlength=self.R).astype(np.int64)
-                if ids.size == 0:
-                    return counts
-        self._merge_pairs(rows, ids, dists, counts)
+        # Bound filter: a pair at or beyond its row's current worst slot can
+        # never survive the stable merge truncation (old entries win ties),
+        # so dropping it up front is bit-identical while shrinking the merge
+        # width — pools not yet full have an inf sentinel there, which keeps
+        # every pair.  The modelled GPU step still scores and sorts every
+        # fresh pair, so the pre-filter counts are what the trace records.
+        keep = dists < self.cand_d[rows, self.L - 1]
+        if keep.all():
+            self._merge_pairs(rows, ids, dists, counts)
+        elif keep.any():
+            rows = rows[keep]
+            self._merge_pairs(
+                rows, ids[keep], dists[keep],
+                np.bincount(rows, minlength=self.R).astype(np.int64),
+            )
         return counts
 
     def _merge_pairs(
@@ -404,27 +404,25 @@ class LockstepEngine:
         nfetch = np.bincount(pick_rows, weights=deg, minlength=self.R).astype(np.int64)
 
         fresh = self.visited.test_and_set(self.row_query[pair_rows], nbr_flat)
-        sizes_before = self.sizes.copy()
+        sizes_before = self.sizes[act]
         new_counts = self._score_and_merge(pair_rows[fresh], nbr_flat[fresh])
 
-        if self.traces is not None:
-            for i, r in enumerate(act.tolist()):
-                n_new = int(new_counts[r])
-                self.traces[r].steps.append(
-                    StepRecord(
-                        select_offset=int(off[i]),
-                        n_expanded=int(n_exp[i]),
-                        n_neighbors_fetched=int(nfetch[r]),
-                        n_visited_checks=int(nfetch[r]),
-                        n_new_points=n_new,
-                        dim=self._trace_dim,
-                        sort_size=int(sizes_before[r]) + n_new if n_new else 0,
-                        cand_list_len=int(sizes_before[r]),
-                        did_sort=n_new > 0,
-                        best_dist=float(selected_dist[i]),
-                        precision=self._precision,
-                    )
-                )
+        if self.trace is not None:
+            n_new = new_counts[act]
+            self.trace.append(
+                act,
+                select_offset=off,
+                n_expanded=n_exp,
+                n_neighbors_fetched=nfetch[act],
+                n_visited_checks=nfetch[act],
+                n_new_points=n_new,
+                dim=self._trace_dim,
+                sort_size=np.where(n_new > 0, sizes_before + n_new, 0),
+                cand_list_len=sizes_before,
+                did_sort=n_new > 0,
+                best_dist=selected_dist,
+                precision=self._precision,
+            )
         return True
 
     def run(self, max_rounds: int, what: str = "search") -> None:
@@ -485,12 +483,15 @@ class LockstepEngine:
         m = int(min(k, self.sizes[r]))
         ids = self.cand_ids[r, :m].copy()
         dists = self.cand_d[r, :m].copy()
-        if self.traces is not None:
-            self.traces[r].result_len = m
+        if self.trace is not None:
+            self.trace.result_len[r] = m
         return ids, dists
 
-    def trace_row(self, r: int) -> CTATrace | None:
-        return self.traces[r] if self.traces is not None else None
+    def trace_table(self, k: int = 0) -> TraceTable | None:
+        """Freeze the recorded trace (None when built without traces)."""
+        if self.trace is None:
+            return None
+        return self.trace.build(query_dim=self.dim, k=k)
 
 
 def _engine_cls(compiled: bool) -> type[LockstepEngine]:
@@ -540,11 +541,11 @@ def batched_intra_cta_search(
         metric=metric, beam=beam, record_trace=record_trace, codec=codec,
     )
     eng.run(100 * cand_capacity)
-    out = []
+    found = []
+    scored, best = [], []
     for r in range(B):
         if codec is None:
-            ids, dists = eng.results_row(r, k)
-            out.append(SearchResult(ids=ids, dists=dists, trace=eng.trace_row(r)))
+            found.append(eng.results_row(r, k))
             continue
         rcap = max(k, rerank_mult * k)
         approx_ids, _ = eng.results_row(r, rcap)
@@ -552,17 +553,19 @@ def batched_intra_cta_search(
         ids, dists = exact_rerank(
             eng.points, queries[r], metric, approx_ids, k, qnorm=qnorm
         )
-        trace = eng.trace_row(r)
-        if trace is not None:
-            trace.steps.append(
-                rerank_step_record(
-                    int(approx_ids.size), eng.dim,
-                    float(dists[0]) if dists.size else float("nan"),
-                )
-            )
-            trace.result_len = int(ids.size)
-        out.append(SearchResult(ids=ids, dists=dists, trace=trace))
-    return out
+        scored.append(approx_ids.size)
+        best.append(dists[0] if dists.size else np.nan)
+        if eng.trace is not None:
+            eng.trace.result_len[r] = ids.size
+        found.append((ids, dists))
+    if codec is not None and eng.trace is not None:
+        append_rerank_steps(eng.trace, np.arange(B), scored, eng.dim, best)
+    table = eng.trace_table(k)
+    return [
+        SearchResult(ids=ids, dists=dists,
+                     trace=None if table is None else table.cta(r))
+        for r, (ids, dists) in enumerate(found)
+    ]
 
 
 def batched_multi_cta_search(
@@ -615,7 +618,8 @@ def batched_multi_cta_search(
     )
     eng.run(200 * l_cta * n_ctas + 1000, what="multi-CTA search")
     rcap = max(k, rerank_mult * k) if codec is not None else k
-    out = []
+    found = []
+    scored, best = [], []
     for q in range(B):
         rows = range(q * n_ctas, (q + 1) * n_ctas)
         lists = [eng.results_row(r, rcap) for r in rows]
@@ -626,22 +630,15 @@ def batched_multi_cta_search(
             ids, dists = exact_rerank(
                 eng.points, queries[q], metric, pool, k, qnorm=qnorm
             )
-            t0 = eng.trace_row(q * n_ctas)
-            if t0 is not None:
-                t0.steps.append(
-                    rerank_step_record(
-                        int(pool.size), eng.dim,
-                        float(dists[0]) if dists.size else float("nan"),
-                    )
-                )
-        trace = None
-        if record_trace:
-            trace = QueryTrace(
-                ctas=[eng.trace_row(r) for r in rows],
-                dim=int(points.shape[1]),
-                k=k,
-            )
-        out.append(
-            SearchResult(ids=ids, dists=dists, trace=trace, extra={"per_cta": lists})
-        )
-    return out
+            scored.append(pool.size)
+            best.append(dists[0] if dists.size else np.nan)
+        found.append((ids, dists, lists))
+    if codec is not None and eng.trace is not None:
+        append_rerank_steps(eng.trace, np.arange(B) * n_ctas, scored, eng.dim, best)
+    table = eng.trace_table(k)
+    return [
+        SearchResult(ids=ids, dists=dists,
+                     trace=None if table is None else table[q],
+                     extra={"per_cta": lists})
+        for q, (ids, dists, lists) in enumerate(found)
+    ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.metrics import query_distances
-from ..gpusim.trace import CTATrace, StepRecord
+from ..gpusim.trace import TraceBuilder
 from .intra_cta import SearchResult
 
 __all__ = ["FlatIndex"]
@@ -44,18 +44,13 @@ class FlatIndex:
         trace = None
         if record_trace:
             dim = int(self.points.shape[1])
-            trace = CTATrace(
-                steps=[
-                    StepRecord(
-                        select_offset=0, n_expanded=0,
-                        n_neighbors_fetched=self.n, n_visited_checks=0,
-                        n_new_points=self.n, dim=dim,
-                        sort_size=int(min(self.n, 4 * k)), cand_list_len=0,
-                        did_sort=True,
-                    )
-                ],
-                result_len=k,
+            steps = TraceBuilder(1)
+            steps.append(
+                0, n_neighbors_fetched=self.n, n_new_points=self.n, dim=dim,
+                sort_size=min(self.n, 4 * k), did_sort=True,
             )
+            steps.result_len[0] = k
+            trace = steps.build(query_dim=dim, k=k).cta(0)
         return SearchResult(
             ids=order.astype(np.int64), dists=d[order].astype(np.float32),
             trace=trace,

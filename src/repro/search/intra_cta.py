@@ -4,8 +4,8 @@ This is the workhorse all systems share: one CTA walking the graph with a
 fixed-capacity candidate list in shared memory (Alg. 1), optionally running
 ALGAS's *beam extend* two-phase schedule (§IV-B).  It executes the search
 for real on the vectors — results and recall are exact — while recording a
-:class:`~repro.gpusim.trace.StepRecord` per maintenance cycle for the cost
-model.
+step per maintenance cycle (one row of a
+:class:`~repro.gpusim.trace.TraceBuilder`) for the cost model.
 
 Beam extend: while the selected candidate's offset in the list is below
 ``offset_beam`` the searcher is in the *localization* phase and behaves
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data.metrics import pair_distances
-from ..gpusim.trace import CTATrace, StepRecord
+from ..gpusim.trace import TraceBuilder
 from ..graphs.base import GraphIndex
 from .candidates import CandidateList
 from .visited import VisitedBitmap
@@ -54,7 +54,7 @@ class SearchResult:
 
     ids: np.ndarray
     dists: np.ndarray
-    trace: object = None  # CTATrace or QueryTrace
+    trace: object = None  # CTATrace or QueryTrace view
     extra: dict = field(default_factory=dict)
 
 
@@ -63,7 +63,8 @@ class CTASearcher:
 
     Exposes :meth:`step` so the multi-CTA driver can interleave CTAs
     round-robin (they run concurrently on hardware and interact through the
-    shared visited bitmap).
+    shared visited bitmap).  With a ``trace`` builder every step is
+    appended to it as CTA ``cta``.
     """
 
     def __init__(
@@ -76,7 +77,8 @@ class CTASearcher:
         visited: VisitedBitmap,
         metric: str = "l2",
         beam: BeamConfig | None = None,
-        record_trace: bool = True,
+        trace: TraceBuilder | None = None,
+        cta: int = 0,
         codec=None,
         codec_state=None,
     ):
@@ -89,7 +91,8 @@ class CTASearcher:
         self.beam = beam
         self.visited = visited
         self.cand = CandidateList(cand_capacity)
-        self.trace = CTATrace() if record_trace else None
+        self.trace = trace
+        self.cta = cta
         self.finished = False
         self.dim = int(points.shape[1])
         # Squared query norm, computed with the same row-wise einsum the
@@ -133,20 +136,15 @@ class CTASearcher:
         else:
             sort_size = 0
         if self.trace is not None:
-            self.trace.steps.append(
-                StepRecord(
-                    select_offset=0,
-                    n_expanded=0,
-                    n_neighbors_fetched=0,
-                    n_visited_checks=int(entries.size),
-                    n_new_points=int(seed_ids.size),
-                    dim=self._trace_dim,
-                    sort_size=sort_size,
-                    cand_list_len=0,
-                    did_sort=sort_size > 1,
-                    best_dist=float(self.cand.dists[0]) if self.cand.size else float("nan"),
-                    precision=self._precision,
-                )
+            self.trace.append(
+                self.cta,
+                n_visited_checks=entries.size,
+                n_new_points=seed_ids.size,
+                dim=self._trace_dim,
+                sort_size=sort_size,
+                did_sort=sort_size > 1,
+                best_dist=self.cand.dists[0] if self.cand.size else np.nan,
+                precision=self._precision,
             )
         if self.cand.size == 0:
             self.finished = True
@@ -201,20 +199,19 @@ class CTASearcher:
             sort_size = 0
             did_sort = False
         if self.trace is not None:
-            self.trace.steps.append(
-                StepRecord(
-                    select_offset=int(off),
-                    n_expanded=int(offsets.size),
-                    n_neighbors_fetched=int(nbrs.size),
-                    n_visited_checks=int(nbrs.size),
-                    n_new_points=int(new_ids.size),
-                    dim=self._trace_dim,
-                    sort_size=int(sort_size),
-                    cand_list_len=int(cand_len_before),
-                    did_sort=did_sort,
-                    best_dist=selected_dist,
-                    precision=self._precision,
-                )
+            self.trace.append(
+                self.cta,
+                select_offset=off,
+                n_expanded=offsets.size,
+                n_neighbors_fetched=nbrs.size,
+                n_visited_checks=nbrs.size,
+                n_new_points=new_ids.size,
+                dim=self._trace_dim,
+                sort_size=sort_size,
+                cand_list_len=cand_len_before,
+                did_sort=did_sort,
+                best_dist=selected_dist,
+                precision=self._precision,
             )
         return True
 
@@ -229,7 +226,7 @@ class CTASearcher:
     def results(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         ids, dists = self.cand.topk(k)
         if self.trace is not None:
-            self.trace.result_len = int(ids.size)
+            self.trace.result_len[self.cta] = ids.size
         return ids, dists
 
     def _finish(self) -> None:
@@ -266,7 +263,7 @@ def intra_cta_search(
     """
     if backend not in ("scalar", "vectorized", "compiled"):
         raise ValueError(f"unknown backend {backend!r}")
-    from .precision import DEFAULT_RERANK_MULT, exact_rerank, rerank_step_record
+    from .precision import DEFAULT_RERANK_MULT, append_rerank_steps, exact_rerank
 
     if rerank_mult is None:
         rerank_mult = DEFAULT_RERANK_MULT
@@ -284,26 +281,26 @@ def intra_cta_search(
             compiled=backend == "compiled",
         )[0]
     visited = VisitedBitmap(points.shape[0])
+    trace = TraceBuilder(1) if record_trace else None
     s = CTASearcher(
         points, graph, query, cand_capacity, entries, visited,
-        metric=metric, beam=beam, record_trace=record_trace, codec=codec,
+        metric=metric, beam=beam, trace=trace, codec=codec,
     )
     s.run()
     if codec is None:
         ids, dists = s.results(k)
-        return SearchResult(ids=ids, dists=dists, trace=s.trace)
-    rcap = max(k, rerank_mult * k)
-    approx_ids, _ = s.results(rcap)
-    ids, dists = exact_rerank(
-        np.asarray(points, dtype=np.float32), s.query, metric, approx_ids, k,
-        qnorm=s._qnorm,
-    )
-    if s.trace is not None:
-        s.trace.steps.append(
-            rerank_step_record(
-                int(approx_ids.size), s.dim,
-                float(dists[0]) if dists.size else float("nan"),
-            )
+    else:
+        rcap = max(k, rerank_mult * k)
+        approx_ids, _ = s.results(rcap)
+        ids, dists = exact_rerank(
+            np.asarray(points, dtype=np.float32), s.query, metric, approx_ids, k,
+            qnorm=s._qnorm,
         )
-        s.trace.result_len = int(ids.size)
-    return SearchResult(ids=ids, dists=dists, trace=s.trace)
+        if trace is not None:
+            append_rerank_steps(
+                trace, 0, approx_ids.size, s.dim,
+                dists[0] if dists.size else np.nan,
+            )
+            trace.result_len[0] = ids.size
+    view = None if trace is None else trace.build(query_dim=s.dim, k=k).cta(0)
+    return SearchResult(ids=ids, dists=dists, trace=view)

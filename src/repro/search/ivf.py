@@ -7,7 +7,8 @@ controlled by ``nprobe``.
 
 The GPU execution profile of a query is two dense phases (centroid scoring,
 list scanning) plus a TopK selection — synthesized here as a two-step
-:class:`CTATrace` so the same cost model prices IVF and graph traces.
+:class:`~repro.gpusim.trace.TraceTable` so the same cost model prices IVF
+and graph traces.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.metrics import pairwise_distances, query_distances
-from ..gpusim.trace import CTATrace, StepRecord
+from ..gpusim.trace import TraceBuilder
 from .intra_cta import SearchResult
 
 __all__ = ["kmeans", "IVFFlatIndex"]
@@ -130,24 +131,17 @@ class IVFFlatIndex:
         trace = None
         if record_trace:
             dim = int(self.points.shape[1])
-            trace = CTATrace(
-                steps=[
-                    # Phase 1: score all centroids, select nprobe.
-                    StepRecord(
-                        select_offset=0, n_expanded=0,
-                        n_neighbors_fetched=self.nlist, n_visited_checks=0,
-                        n_new_points=self.nlist, dim=dim,
-                        sort_size=self.nlist, cand_list_len=0, did_sort=True,
-                    ),
-                    # Phase 2: scan the probed lists, TopK-select.
-                    StepRecord(
-                        select_offset=0, n_expanded=0,
-                        n_neighbors_fetched=int(cand.size), n_visited_checks=0,
-                        n_new_points=int(cand.size), dim=dim,
-                        sort_size=int(min(cand.size, 4 * k)),
-                        cand_list_len=0, did_sort=True,
-                    ),
-                ],
-                result_len=int(ids.size),
+            steps = TraceBuilder(1)
+            # Phase 1: score all centroids, select nprobe.
+            steps.append(
+                0, n_neighbors_fetched=self.nlist, n_new_points=self.nlist,
+                dim=dim, sort_size=self.nlist, did_sort=True,
             )
+            # Phase 2: scan the probed lists, TopK-select.
+            steps.append(
+                0, n_neighbors_fetched=cand.size, n_new_points=cand.size,
+                dim=dim, sort_size=min(cand.size, 4 * k), did_sort=True,
+            )
+            steps.result_len[0] = ids.size
+            trace = steps.build(query_dim=dim, k=k).cta(0)
         return SearchResult(ids=ids.astype(np.int64), dists=dists.astype(np.float32), trace=trace)

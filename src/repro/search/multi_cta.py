@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from ..gpusim.trace import QueryTrace
+from ..gpusim.trace import TraceBuilder
 from ..graphs.base import GraphIndex
 from .intra_cta import BeamConfig, CTASearcher, SearchResult
 from .topk import heap_merge
@@ -70,8 +70,8 @@ def multi_cta_search(
 ) -> SearchResult:
     """Search one query with ``n_ctas`` cooperating CTAs.
 
-    Returns the merged TopK plus a :class:`QueryTrace` holding one
-    :class:`CTATrace` per CTA.  The merged result equals the global TopK of
+    Returns the merged TopK plus a :class:`~repro.gpusim.trace.QueryTrace`
+    view holding one CTA trace per CTA.  The merged result equals the global TopK of
     the per-CTA lists (property-tested), so swapping the merge location
     (CPU vs GPU) cannot change recall — only latency.
 
@@ -87,7 +87,7 @@ def multi_cta_search(
         raise ValueError("n_ctas must be positive")
     if backend not in ("scalar", "vectorized", "compiled"):
         raise ValueError(f"unknown backend {backend!r}")
-    from .precision import DEFAULT_RERANK_MULT, exact_rerank, rerank_step_record
+    from .precision import DEFAULT_RERANK_MULT, append_rerank_steps, exact_rerank
 
     if rerank_mult is None:
         rerank_mult = DEFAULT_RERANK_MULT
@@ -112,6 +112,7 @@ def multi_cta_search(
         raise ValueError("need one entry array per CTA")
 
     visited = VisitedBitmap(points.shape[0])
+    trace = TraceBuilder(n_ctas, np.array([0, n_ctas])) if record_trace else None
     codec_state = None
     if codec is not None:
         codec_state = codec.query_state(
@@ -120,7 +121,7 @@ def multi_cta_search(
     searchers = [
         CTASearcher(
             points, graph, query, l_cta, entries[i], visited,
-            metric=metric, beam=beam, record_trace=record_trace,
+            metric=metric, beam=beam, trace=trace, cta=i,
             codec=codec, codec_state=codec_state,
         )
         for i in range(n_ctas)
@@ -146,16 +147,12 @@ def multi_cta_search(
             np.asarray(points, dtype=np.float32), searchers[0].query, metric,
             pool, k, qnorm=searchers[0]._qnorm,
         )
-        if searchers[0].trace is not None:
-            searchers[0].trace.steps.append(
-                rerank_step_record(
-                    int(pool.size), searchers[0].dim,
-                    float(dists[0]) if dists.size else float("nan"),
-                )
+        if trace is not None:
+            append_rerank_steps(
+                trace, 0, pool.size, searchers[0].dim,
+                dists[0] if dists.size else np.nan,
             )
-    trace = None
-    if record_trace:
-        trace = QueryTrace(
-            ctas=[s.trace for s in searchers], dim=int(points.shape[1]), k=k
-        )
-    return SearchResult(ids=ids, dists=dists, trace=trace, extra={"per_cta": lists})
+    view = None
+    if trace is not None:
+        view = trace.build(query_dim=int(points.shape[1]), k=k)[0]
+    return SearchResult(ids=ids, dists=dists, trace=view, extra={"per_cta": lists})

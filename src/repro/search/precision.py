@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.metrics import pair_distances
-from ..gpusim.trace import StepRecord
+from ..gpusim.trace import PRECISIONS, TraceBuilder
 from .quantization import ProductQuantizer, ScalarQuantizer
 
 __all__ = [
@@ -53,12 +53,12 @@ __all__ = [
     "make_codec",
     "default_pq_m",
     "exact_rerank",
-    "rerank_step_record",
+    "append_rerank_steps",
 ]
 
-#: Supported traversal precisions.  ``"float32"`` is the exact baseline
-#: (no codec); the others walk the graph on compressed distances.
-PRECISIONS = ("float32", "int8", "pq")
+#: Supported traversal precisions (``PRECISIONS``, shared with the trace
+#: columns): ``"float32"`` is the exact baseline (no codec); the others walk
+#: the graph on compressed distances.
 
 #: Default exact re-rank pool multiplier: re-score ``rerank_mult × k``.
 DEFAULT_RERANK_MULT = 2
@@ -525,21 +525,20 @@ def exact_rerank(
     return ids[order].copy(), d[order].copy()
 
 
-def rerank_step_record(n_scored: int, dim: int, best_dist: float) -> StepRecord:
-    """The float32 re-rank pass as a priced trace step.
+def append_rerank_steps(
+    trace: TraceBuilder, ctas, n_scored, dim: int, best_dist
+) -> None:
+    """The float32 re-rank pass as one priced trace step per CTA in ``ctas``.
 
     ``n_scored`` full-width exact distances plus one sort of the pool —
     the same accounting the IVF-PQ baseline uses for its re-rank scan.
     """
-    return StepRecord(
-        select_offset=0,
-        n_expanded=0,
-        n_neighbors_fetched=0,
-        n_visited_checks=0,
+    n_scored = np.asarray(n_scored, dtype=np.int64)
+    trace.append(
+        ctas,
         n_new_points=n_scored,
         dim=dim,
         sort_size=n_scored,
-        cand_list_len=0,
         did_sort=n_scored > 1,
         best_dist=best_dist,
         precision="float32",

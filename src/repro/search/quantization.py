@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data.metrics import query_distances
-from ..gpusim.trace import CTATrace, StepRecord
+from ..gpusim.trace import TraceBuilder
 from .intra_cta import SearchResult
 from .ivf import kmeans
 
@@ -214,21 +214,24 @@ class IVFPQIndex:
         trace = None
         if record_trace:
             dim = int(self.points.shape[1])
-            steps = [
-                # coarse scoring (full-dimension distances)
-                StepRecord(0, 0, self.nlist, 0, self.nlist, dim,
-                           self.nlist, 0, True),
-                # ADC scan: m table lookups per point ≈ m-dim distance work
-                StepRecord(0, 0, int(cand.size), 0, int(cand.size), self.pq.m,
-                           int(min(cand.size, 4 * k)), 0, True),
-            ]
-            if rerank > 0:
+            steps = TraceBuilder(1)
+            # coarse scoring (full-dimension distances)
+            steps.append(
+                0, n_neighbors_fetched=self.nlist, n_new_points=self.nlist,
+                dim=dim, sort_size=self.nlist, did_sort=True,
+            )
+            # ADC scan: m table lookups per point ≈ m-dim distance work
+            steps.append(
+                0, n_neighbors_fetched=cand.size, n_new_points=cand.size,
+                dim=self.pq.m, sort_size=min(cand.size, 4 * k), did_sort=True,
+            )
+            if rerank > 0:  # exact re-rank of the r-point shortlist
                 steps.append(
-                    StepRecord(0, 0, int(min(max(rerank, k), cand.size)), 0,
-                               int(min(max(rerank, k), cand.size)), dim,
-                               int(4 * k), 0, True)
+                    0, n_neighbors_fetched=r, n_new_points=r, dim=dim,
+                    sort_size=4 * k, did_sort=True,
                 )
-            trace = CTATrace(steps=steps, result_len=int(ids.size))
+            steps.result_len[0] = ids.size
+            trace = steps.build(query_dim=dim, k=k).cta(0)
         return SearchResult(
             ids=ids.astype(np.int64), dists=dists.astype(np.float32), trace=trace
         )

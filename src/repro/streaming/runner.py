@@ -385,11 +385,11 @@ def serve_while_update(
                 # A wave in flight holds the serve barrier: arrivals during
                 # it queue until it finishes.
                 arrival_us=max(ev.arrival_us, start_us),
-                cta_durations_us=(cm.cta_duration_us(tr),),
+                cta_durations_us=durs,
                 dim=int(qv.shape[1]),
                 k=k,
             )
-            for ev, tr in zip(epoch_events, traces)
+            for ev, durs in zip(epoch_events, cm.query_durations_us(traces))
         ]
         engine = DynamicBatchEngine(
             device, cm, cfg, telemetry=telemetry, faults=faults

@@ -12,28 +12,31 @@ from repro.analysis.stats import (
     step_statistics,
 )
 from repro.core.serving import QueryRecord
-from repro.gpusim.trace import CTATrace, QueryTrace, StepRecord
+from repro.gpusim.trace import StepRecord, TraceTable
 
 
-def mktrace(n_steps):
-    steps = [
-        StepRecord(0, 1, 8, 8, 4, 16, 20, 16, True) for _ in range(n_steps + 1)
+def mktraces(*n_steps):
+    """One single-CTA query per entry, with that many steps past the seed."""
+    ctas = [
+        [StepRecord(0, 1, 8, 8, 4, 16, 20, 16, True) for _ in range(n + 1)]
+        for n in n_steps
     ]
-    return QueryTrace(ctas=[CTATrace(steps=steps)], dim=16, k=5)
+    return TraceTable.from_steps(ctas, ctas_per_query=[1] * len(ctas),
+                                 query_dim=16, k=5)
 
 
 def test_step_statistics():
-    traces = [mktrace(n) for n in (10, 20, 30, 100)]
+    traces = mktraces(10, 20, 30, 100)
     st = step_statistics(traces)
     assert st.min == 10 and st.max == 100
     assert st.mean == pytest.approx(40.0)
     assert st.max_over_mean == pytest.approx(2.5)
     with pytest.raises(ValueError):
-        step_statistics([])
+        step_statistics(mktraces())
 
 
 def test_batch_step_spread():
-    traces = [mktrace(n) for n in (10, 20, 30, 60)]
+    traces = mktraces(10, 20, 30, 60)
     spread = batch_step_spread(traces, 2)
     assert spread[0] == (10, 20, 2.0)
     assert spread[1] == (30, 60, 2.0)

@@ -18,6 +18,7 @@ from repro.data import load_dataset
 from repro.graphs import build_cagra, build_nsw_fast
 from repro.search import (
     BeamConfig,
+    LockstepEngine,
     batched_intra_cta_search,
     batched_multi_cta_search,
     intra_cta_search,
@@ -95,6 +96,51 @@ def test_multi_cta_parity(pds, pgraph, beam_key):
         ):
             assert np.array_equal(ia, ib)
             assert np.asarray(da).tobytes() == np.asarray(db).tobytes()
+
+
+@pytest.mark.parametrize("beam_key", list(BEAMS))
+def test_traced_and_untraced_search_agree(pds, pgraph, beam_key, monkeypatch):
+    """Recording traces does not change the search: both modes apply the
+    merge bound filter and return byte-identical ids/dists, and the traced
+    run still equals the scalar oracle step for step."""
+    beam = BEAMS[beam_key]
+    rng = np.random.default_rng(11)
+    n_ctas = 4
+    entries = [
+        make_entries(pds.base.shape[0], n_ctas, 2, rng)
+        for _ in range(len(pds.queries))
+    ]
+    merged = []
+    inner = LockstepEngine._merge_pairs
+
+    def counting(self, rows, ids, dists, counts):
+        merged.append(ids.size)
+        return inner(self, rows, ids, dists, counts)
+
+    monkeypatch.setattr(LockstepEngine, "_merge_pairs", counting)
+
+    def run(record_trace):
+        return batched_multi_cta_search(
+            pds.base, pgraph, pds.queries, 8, 64, n_ctas,
+            metric=pds.metric, beam=beam, entries=entries,
+            record_trace=record_trace,
+        )
+
+    traced = run(True)
+    scored = traced[0].trace.table.n_new_points.sum()
+    # the filter ran in trace mode: fewer pairs merged than were scored
+    assert sum(merged) < scored
+    plain = run(False)
+    for a, b in zip(traced, plain):
+        assert b.trace is None
+        assert np.array_equal(a.ids, b.ids)
+        assert a.dists.tobytes() == b.dists.tobytes()
+    for i, q in enumerate(pds.queries):
+        scalar = multi_cta_search(
+            pds.base, pgraph, q, 8, 64, n_ctas,
+            metric=pds.metric, beam=beam, entries=entries[i],
+        )
+        assert_same_result(scalar, traced[i])
 
 
 def test_batch_of_one_matches_scalar(pds, pgraph):

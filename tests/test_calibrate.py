@@ -12,12 +12,12 @@ import pytest
 from repro.gpusim.calibrate import calibrate_cost_params, op_count_features
 from repro.gpusim.costmodel import CostModel, CostParams
 from repro.gpusim.device import RTX_A6000
-from repro.gpusim.trace import CTATrace, StepRecord
+from repro.gpusim.trace import StepRecord, TraceTable
 
 
 def diverse_traces(n=24, seed=0):
     rng = np.random.default_rng(seed)
-    traces = []
+    ctas = []
     for _ in range(n):
         dim = int(rng.choice([16, 64, 128, 256, 960]))
         deg = int(rng.choice([8, 16, 32, 64]))
@@ -38,8 +38,8 @@ def diverse_traces(n=24, seed=0):
                     did_sort=new > 0,
                 )
             )
-        traces.append(CTATrace(steps=steps, result_len=8))
-    return traces
+        ctas.append(steps)
+    return TraceTable.from_steps(ctas, result_len=[8] * n, ctas_per_query=[1] * n)
 
 
 TRUTH = CostParams(fma_iter_cycles=11.0, shuffle_cycles=3.0,
@@ -49,7 +49,7 @@ TRUTH = CostParams(fma_iter_cycles=11.0, shuffle_cycles=3.0,
 def test_recovers_known_constants():
     cm = CostModel(RTX_A6000, TRUTH)
     traces = diverse_traces()
-    measured = [cm.cta_duration_us(t) for t in traces]
+    measured = cm.price(traces).total_us
     res = calibrate_cost_params(RTX_A6000, traces, measured, base_params=TRUTH)
     assert res.r_squared > 0.999
     assert res.residual_us_rms < 0.5
@@ -62,7 +62,8 @@ def test_noisy_measurements_still_close():
     cm = CostModel(RTX_A6000, TRUTH)
     traces = diverse_traces(n=40, seed=1)
     rng = np.random.default_rng(0)
-    measured = [cm.cta_duration_us(t) * rng.uniform(0.97, 1.03) for t in traces]
+    measured = [cm.cta_duration_us(t) * rng.uniform(0.97, 1.03)
+                for t in map(traces.cta, range(traces.n_ctas))]
     res = calibrate_cost_params(RTX_A6000, traces, measured, base_params=TRUTH)
     assert res.r_squared > 0.95
     assert res.params.fma_iter_cycles == pytest.approx(11.0, rel=0.25)
@@ -74,12 +75,12 @@ def test_real_trace_predictive_fit(ds, graph, entry):
     from repro.search import intra_cta_search
 
     cm = CostModel(RTX_A6000, TRUTH)
-    traces = [
+    traces = TraceTable.gather([
         intra_cta_search(ds.base, graph, ds.queries[i], 8, 24 + 8 * (i % 5),
                          entry, metric=ds.metric).trace
         for i in range(12)
-    ]
-    measured = [cm.cta_duration_us(t) for t in traces]
+    ])
+    measured = [cm.cta_duration_us(t.ctas[0]) for t in traces]
     res = calibrate_cost_params(RTX_A6000, traces, measured)
     assert res.r_squared > 0.99
     assert res.residual_us_rms < 1.0
@@ -91,7 +92,7 @@ def test_features_positive(ds, graph, entry):
     for i in range(3):
         t = intra_cta_search(ds.base, graph, ds.queries[i], 8, 32, entry,
                              metric=ds.metric).trace
-        f = op_count_features(t)
+        f = op_count_features(t.table)[t.index]
         assert f.shape == (5,)
         assert (f > 0).all()
 
@@ -101,4 +102,5 @@ def test_validates():
     with pytest.raises(ValueError):
         calibrate_cost_params(RTX_A6000, traces, [1.0])
     with pytest.raises(ValueError):
-        calibrate_cost_params(RTX_A6000, traces[:3], [1.0, 2.0, 3.0])
+        calibrate_cost_params(RTX_A6000, traces.take_queries(range(3)),
+                              [1.0, 2.0, 3.0])

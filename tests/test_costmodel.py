@@ -10,7 +10,7 @@ from repro.gpusim.costmodel import (
     bitonic_stage_count,
 )
 from repro.gpusim.device import RTX_A6000
-from repro.gpusim.trace import CTATrace, StepRecord
+from repro.gpusim.trace import StepRecord, TraceTable
 
 
 def mkstep(**kw):
@@ -61,8 +61,12 @@ def test_sort_scales_with_list_size(cm):
     assert large > 2 * small
 
 
+def one_cta(steps, result_len=0):
+    return TraceTable.from_steps([steps], result_len=[result_len]).cta(0)
+
+
 def test_cta_cost_additive(cm):
-    t = CTATrace(steps=[mkstep(), mkstep(did_sort=False, sort_size=0)], result_len=10)
+    t = one_cta([mkstep(), mkstep(did_sort=False, sort_size=0)], result_len=10)
     agg = cm.cta_cost(t)
     s0, s1 = cm.step_cost(t.steps[0]), cm.step_cost(t.steps[1])
     assert agg.sort_us == pytest.approx(s0.sort_us + s1.sort_us)
@@ -83,17 +87,18 @@ def test_gpu_merge_includes_launch(cm):
 
 
 def test_query_gpu_time_is_max_over_ctas(cm):
-    from repro.gpusim.trace import QueryTrace
-
-    a = CTATrace(steps=[mkstep()])
-    b = CTATrace(steps=[mkstep(), mkstep()])
-    qt = QueryTrace(ctas=[a, b], dim=128, k=10)
+    table = TraceTable.from_steps([[mkstep()], [mkstep(), mkstep()]], query_dim=128, k=10)
+    qt = table[0]
+    a, b = qt.ctas
     assert cm.query_gpu_time_us(qt) == pytest.approx(cm.cta_duration_us(b))
+    assert cm.query_durations_us(table) == [
+        (cm.cta_duration_us(a), cm.cta_duration_us(b))
+    ]
 
 
 def test_sort_fraction_calibration_band(cm):
     # Fig. 3 operating point: ~20-34 % sorting on a 128-dim dataset.
-    t = CTATrace(steps=[mkstep() for _ in range(60)], result_len=16)
+    t = one_cta([mkstep() for _ in range(60)], result_len=16)
     frac = cm.cta_cost(t).sort_fraction
     assert 0.15 < frac < 0.45
 

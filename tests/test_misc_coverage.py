@@ -70,11 +70,11 @@ def test_host_threads_auto_scaling(ds, graph):
 
 def test_graph_stats_repr_and_flat_serving(ds):
     """FlatIndex trace prices through the same pipeline vocabulary."""
-    from repro.gpusim.trace import QueryTrace
     from repro.search.bruteforce import FlatIndex
 
     idx = FlatIndex(ds.base, metric=ds.metric)
     r = idx.search(ds.queries[0], 5)
-    qt = QueryTrace(ctas=[r.trace], dim=ds.dim, k=5)
+    qt = r.trace.table[0]
+    assert (qt.dim, qt.k) == (ds.dim, 5)
     cm = CostModel(RTX_A6000)
     assert cm.query_gpu_time_us(qt) > 0

@@ -27,7 +27,7 @@ from repro.data.metrics import pair_distances
 from repro.graphs import build_cagra
 from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import RTX_A6000
-from repro.gpusim.trace import StepRecord
+from repro.gpusim.trace import StepRecord, TraceBuilder
 from repro.search import (
     Int8Codec,
     PQCodec,
@@ -42,7 +42,7 @@ from repro.search.batched import (
     batched_intra_cta_search,
     batched_multi_cta_search,
 )
-from repro.search.precision import rerank_step_record
+from repro.search.precision import append_rerank_steps
 
 
 @pytest.fixture(scope="module")
@@ -252,13 +252,19 @@ def test_cost_model_prices_quantized_steps_cheaper():
     pq = cm.step_cost(_step(120, 32, "pq")).total_us
     assert i8 < f32
     assert pq < f32
-    # unknown precision falls back to float32 pricing
-    assert cm.step_cost(_step(960, 32, "exotic")).total_us == pytest.approx(f32)
+    # an unknown precision is an error, not silently priced as float32
+    with pytest.raises(ValueError, match="unknown precision"):
+        cm.step_cost(_step(960, 32, "exotic"))
 
 
 def test_rerank_step_record_shape():
-    rec = rerank_step_record(24, 960, 1.5)
+    trace = TraceBuilder(2)
+    append_rerank_steps(trace, 1, 24, 960, 1.5)
+    table = trace.build()
+    assert table.cta(0).n_steps == 0
+    (rec,) = table.cta(1).steps
     assert rec.precision == "float32"
+    assert rec.best_dist == 1.5
     assert (rec.n_new_points, rec.dim, rec.sort_size) == (24, 960, 24)
     assert rec.did_sort
 

@@ -4,11 +4,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim.costmodel import bitonic_stage_count
+from repro.gpusim.costmodel import CostModel, CostParams, bitonic_stage_count
+from repro.gpusim.device import RTX_A6000
 from repro.gpusim.engine import list_schedule
+from repro.gpusim.trace import PRECISIONS, StepRecord, TraceTable
 from repro.search.candidates import CandidateList
 from repro.search.topk import heap_merge, merge_sorted_lists, select_topk
 from repro.search.visited import VisitedBitmap
+from tests import cost_oracle as oracle
 
 f32 = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, width=32)
 
@@ -244,3 +247,98 @@ def test_graph_index_matrix_roundtrip(lists):
     g2 = GraphIndex.from_matrix(g.to_matrix())
     for v in range(20):
         assert np.array_equal(g.neighbors(v), g2.neighbors(v))
+
+
+# ------------------------------------------------------------ cost model
+def _pow2_edges():
+    """Sizes at 2^k - 1, 2^k and 2^k + 1 — where the padded bitonic networks
+    change width — plus arbitrary small sizes (0 and 1 included)."""
+    edge = st.integers(1, 20).flatmap(
+        lambda k: st.sampled_from([(1 << k) - 1, 1 << k, (1 << k) + 1])
+    )
+    return st.one_of(st.integers(0, 700), edge)
+
+
+_steps = st.builds(
+    StepRecord,
+    select_offset=st.integers(0, 300),
+    n_expanded=st.integers(0, 8),
+    n_neighbors_fetched=st.integers(0, 600),
+    n_visited_checks=st.one_of(st.just(0), st.integers(0, 600)),
+    n_new_points=st.one_of(st.just(0), st.integers(0, 600)),
+    dim=st.sampled_from([1, 4, 8, 96, 120, 128, 200, 960]),
+    sort_size=_pow2_edges(),
+    cand_list_len=_pow2_edges(),
+    did_sort=st.booleans(),
+    best_dist=st.floats(allow_nan=True),
+    precision=st.sampled_from(PRECISIONS),
+)
+_cycles = st.floats(0.01, 200.0, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(_steps, max_size=10), min_size=1, max_size=5),
+    st.lists(st.integers(0, 64), min_size=5, max_size=5),
+    st.sampled_from([None, 7, 32, 128]),
+    st.builds(CostParams, fma_iter_cycles=_cycles, shuffle_cycles=_cycles,
+              cmpex_cycles=_cycles, scan_cycles=_cycles, bitmap_cycles=_cycles,
+              step_fixed_cycles=_cycles, int8_mac_pack=st.sampled_from([1.0, 4.0]),
+              lut_lookup_cycles=_cycles),
+)
+def test_table_pricing_matches_scalar_oracle_bitwise(ctas, result_len, threads, params):
+    cm = CostModel(RTX_A6000, params, threads_per_cta=threads)
+    table = TraceTable.from_steps(ctas, result_len=result_len[: len(ctas)])
+    phases = np.stack(cm.step_phases(table), axis=1)
+    rows = [s for steps in ctas for s in steps]
+    for i, s in enumerate(rows):
+        ref = oracle.step_cost(cm, s)
+        assert phases[i].tolist() == [ref.select_us, ref.fetch_us, ref.filter_us,
+                                      ref.distance_us, ref.sort_us]
+        assert cm.step_cost(s) == ref
+    priced = cm.price(table)
+    for c in range(len(ctas)):
+        ref = oracle.cta_cost(cm, table.cta(c))
+        assert priced[c] == ref
+        assert priced.total_us[c] == ref.total_us
+
+
+def _step(**kw):
+    base = dict(select_offset=0, n_expanded=1, n_neighbors_fetched=32,
+                n_visited_checks=32, n_new_points=16, dim=128, sort_size=80,
+                cand_list_len=64, did_sort=True, precision="float32")
+    base.update(kw)
+    return StepRecord(**base)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 2000), st.integers(0, 2000),
+    st.integers(1, 2048), st.integers(1, 2048),
+    st.integers(0, 5000), st.integers(0, 5000),
+    st.sampled_from(PRECISIONS),
+)
+def test_step_cost_monotone(n_a, n_b, d_a, d_b, s_a, s_b, precision):
+    cm = CostModel(RTX_A6000)
+    n_lo, n_hi = sorted((n_a, n_b))
+    d_lo, d_hi = sorted((d_a, d_b))
+    s_lo, s_hi = sorted((s_a, s_b))
+
+    def total(**kw):
+        return cm.step_cost(_step(precision=precision, **kw)).total_us
+
+    assert total(n_new_points=n_lo) <= total(n_new_points=n_hi)
+    assert total(dim=d_lo) <= total(dim=d_hi)
+    assert total(sort_size=s_lo) <= total(sort_size=s_hi)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 4000), st.integers(1, 4096))
+def test_int8_distance_never_dearer_than_float32(n_new, dim):
+    cm = CostModel(RTX_A6000)
+
+    def dist(precision):
+        step = _step(n_new_points=n_new, dim=dim, precision=precision)
+        return cm.step_cost(step).distance_us
+
+    assert dist("int8") <= dist("float32")
